@@ -38,6 +38,7 @@ import (
 	"tagbreathe/internal/llrp"
 	"tagbreathe/internal/obs"
 	"tagbreathe/internal/reader"
+	"tagbreathe/internal/trace"
 )
 
 func main() {
@@ -199,29 +200,11 @@ func streamScenario(ctx context.Context, users int, distance, rate float64,
 
 	// The simulation generates the full trace synchronously and very
 	// fast; pacing happens at emission time so the client sees a
-	// realtime stream.
+	// realtime stream. Nothing is dropped as late: a slow client only
+	// slows the replay.
 	res, err := sc.Run()
 	if err != nil {
 		return err
 	}
-	start := time.Now()
-	for _, r := range res.Reports {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if pace > 0 {
-			due := start.Add(time.Duration(float64(r.Timestamp) / pace))
-			if d := time.Until(due); d > 0 {
-				select {
-				case <-ctx.Done():
-					return ctx.Err()
-				case <-time.After(d):
-				}
-			}
-		}
-		if err := emit(r); err != nil {
-			return fmt.Errorf("emit: %w", err)
-		}
-	}
-	return nil
+	return trace.NewReplay(res.Reports, pace, 0).Stream(ctx, emit)
 }

@@ -2,7 +2,6 @@ package chaos_test
 
 import (
 	"context"
-	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -13,84 +12,18 @@ import (
 	"tagbreathe/internal/llrp"
 	"tagbreathe/internal/reader"
 	"tagbreathe/internal/sim"
+	"tagbreathe/internal/trace"
 )
 
-// pacedSource replays a pregenerated simulation trace slaved to the
-// wall clock at a fixed speed-up, shared across connections: every
-// ROSpec start resumes from the same monotonic cursor instead of
-// restarting the trace, the way a real reader's clock keeps running
-// while the host is away. Reports that fell due while no connection
-// was draining (an outage) are skipped, so downtime becomes a genuine
-// stream-time gap — exactly what the pipeline must absorb — and
-// timestamps stay monotonic across reconnects.
-type pacedSource struct {
-	reports []reader.TagReport
-	speed   float64       // stream seconds per wall second
-	slack   time.Duration // stream-time lateness tolerated before skipping
-	start   time.Time     // wall epoch of stream time zero
-
-	mu  sync.Mutex
-	pos int
-}
-
-func newPacedSource(reports []reader.TagReport, speed float64) *pacedSource {
-	return &pacedSource{
-		reports: reports,
-		speed:   speed,
-		slack:   time.Second,
-		start:   time.Now(),
-	}
-}
-
-// StreamNow is the current stream-time position of the shared clock.
-func (p *pacedSource) StreamNow() time.Duration {
-	return time.Duration(float64(time.Since(p.start)) * p.speed)
-}
-
-// Exhausted reports whether the trace ran dry (test sizing error).
-func (p *pacedSource) Exhausted() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.pos >= len(p.reports)
-}
-
-// next claims the next due report; ok=false when the trace is done.
-func (p *pacedSource) next() (r reader.TagReport, due time.Time, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	streamNow := time.Duration(float64(time.Since(p.start)) * p.speed)
-	for p.pos < len(p.reports) && p.reports[p.pos].Timestamp < streamNow-p.slack {
-		p.pos++ // fell due during an outage: a real gap, not a replay
-	}
-	if p.pos >= len(p.reports) {
-		return reader.TagReport{}, time.Time{}, false
-	}
-	r = p.reports[p.pos]
-	p.pos++
-	due = p.start.Add(time.Duration(float64(r.Timestamp) / p.speed))
-	return r, due, true
-}
-
-// Stream implements llrp.ReportSource over the shared cursor.
-func (p *pacedSource) Stream(ctx context.Context, emit func(reader.TagReport) error) error {
-	for {
-		r, due, ok := p.next()
-		if !ok {
-			return nil
-		}
-		if d := time.Until(due); d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return ctx.Err()
-			}
-		}
-		if err := emit(r); err != nil {
-			return err
-		}
-	}
+// newReplay replays a pregenerated simulation trace at speed× wall
+// clock, shared across connections: every ROSpec start resumes from the
+// same cursor instead of restarting the trace. Reports that fell due
+// more than one second of stream time ago (an outage) are skipped, so
+// downtime becomes a genuine stream-time gap — exactly what the
+// pipeline must absorb — and timestamps stay monotonic across
+// reconnects.
+func newReplay(reports []reader.TagReport, speed float64) *trace.Replay {
+	return trace.NewReplay(reports, speed, time.Duration(float64(time.Second)/speed))
 }
 
 // TestChaosSessionMonitorRecovery is the acceptance chaos run: an
@@ -115,29 +48,8 @@ func TestChaosSessionMonitorRecovery(t *testing.T) {
 	uid := res.UserIDs[0]
 	truth := res.TrueRateBPM[uid]
 
-	src := newPacedSource(res.Reports, speed)
-	srv, err := llrp.NewServer(llrp.ServerConfig{
-		NewSource:      func() llrp.ReportSource { return src },
-		KeepaliveEvery: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvDone := make(chan struct{})
-	go func() {
-		defer close(srvDone)
-		_ = srv.Serve(ln)
-	}()
-	t.Cleanup(func() {
-		srv.Close()
-		<-srvDone
-	})
-
-	proxy, err := chaos.NewProxy(ln.Addr().String())
+	src := newReplay(res.Reports, speed)
+	proxy, err := chaos.NewProxy(startPacedServer(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,8 +66,8 @@ func TestChaosFleetOneOfTwoReadersDies(t *testing.T) {
 	// Two independent replays of the same ward: each reader sees the
 	// same scene on its own paced clock, so their report interleaving
 	// carries the cross-reader arrival jitter a real fleet produces.
-	srcA := newPacedSource(res.Reports, speed)
-	srcB := newPacedSource(res.Reports, speed)
+	srcA := newReplay(res.Reports, speed)
+	srcB := newReplay(res.Reports, speed)
 	addrA := startPacedServer(t, srcA)
 	addrB := startPacedServer(t, srcB)
 

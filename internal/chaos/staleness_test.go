@@ -3,7 +3,6 @@ package chaos_test
 import (
 	"context"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -33,29 +32,8 @@ func TestChaosStalenessVisibility(t *testing.T) {
 	}
 	uid := res.UserIDs[0]
 
-	src := newPacedSource(res.Reports, speed)
-	srv, err := llrp.NewServer(llrp.ServerConfig{
-		NewSource:      func() llrp.ReportSource { return src },
-		KeepaliveEvery: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvDone := make(chan struct{})
-	go func() {
-		defer close(srvDone)
-		_ = srv.Serve(ln)
-	}()
-	t.Cleanup(func() {
-		srv.Close()
-		<-srvDone
-	})
-
-	proxy, err := chaos.NewProxy(ln.Addr().String())
+	src := newReplay(res.Reports, speed)
+	proxy, err := chaos.NewProxy(startPacedServer(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}

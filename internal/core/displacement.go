@@ -207,18 +207,14 @@ type Config struct {
 	// auto-discover: every distinct EPC high-64 seen is treated as a
 	// user (suitable when all tags in the field are monitoring tags).
 	Users []uint64
-	// UseFIRFilter selects the FIR low-pass (§IV-B mentions it as an
-	// alternative) instead of the FFT filter; used by the ablation
-	// benchmarks.
-	UseFIRFilter bool
 	// Filter selects the stage engine's band-pass implementation:
-	// FilterDefault resolves via UseFIRFilter; FilterFFT and
-	// FilterFIRBatch recompute the window each tick (the reference
-	// semantics); FilterFIRStreaming runs the causal streaming chain,
-	// making Monitor ticks O(new samples + taps) independent of window
-	// length at the price of the filter's group delay. Consumed by
-	// Estimate and Monitor; ExtractBreath keeps its UseFIRFilter
-	// switch.
+	// FilterFFT (the zero value) and FilterFIRBatch recompute the window
+	// each tick (the reference semantics; FilterFIRBatch is the FIR
+	// low-pass §IV-B mentions as an alternative); FilterFIRStreaming
+	// runs the causal streaming chain, making Monitor ticks O(new
+	// samples + taps) independent of window length at the price of the
+	// filter's group delay. ExtractBreath runs the FIR for
+	// FilterFIRBatch and the FFT filter otherwise.
 	Filter FilterMode
 	// MotionRejection blanks fused bins whose magnitude marks
 	// non-respiratory body motion (postural shifts move the torso by

@@ -37,12 +37,10 @@ import (
 type FilterMode int
 
 const (
-	// FilterDefault resolves via Config.UseFIRFilter: the FFT reference
-	// filter, or the batch FIR when UseFIRFilter is set.
-	FilterDefault FilterMode = iota
-	// FilterFFT recomputes the whole-window FFT band-pass each
-	// tick/flush — the paper's reference extraction (§IV-B).
-	FilterFFT
+	// FilterFFT (the zero value) recomputes the whole-window FFT
+	// band-pass each tick/flush — the paper's reference extraction
+	// (§IV-B).
+	FilterFFT FilterMode = iota
 	// FilterFIRBatch recomputes the whole-window FIR band-pass
 	// (windowed-sinc low-pass + moving-average drift removal).
 	FilterFIRBatch
@@ -52,27 +50,6 @@ const (
 	// rate updates describe breaths that happened one group delay ago.
 	FilterFIRStreaming
 )
-
-// filterMode resolves the configured mode against legacy knobs.
-// FilterFIRStreaming degrades to FilterFIRBatch under MotionRejection,
-// which needs the whole window's bin population to threshold against.
-func (c *Config) filterMode() FilterMode {
-	switch c.Filter {
-	case FilterFFT:
-		return FilterFFT
-	case FilterFIRBatch:
-		return FilterFIRBatch
-	case FilterFIRStreaming:
-		if c.MotionRejection {
-			return FilterFIRBatch
-		}
-		return FilterFIRStreaming
-	}
-	if c.UseFIRFilter {
-		return FilterFIRBatch
-	}
-	return FilterFFT
-}
 
 // BinFuser is the incremental form of FuseBins/FuseBinsLiteral: it
 // maintains the Eq. 6 bin grid (anchored at origin, binSec wide) as a
@@ -427,8 +404,7 @@ type antennaState struct {
 // for concurrent use; the Monitor gives each user's shard goroutine
 // its own engine, and the batch path builds one per shard.
 type Engine struct {
-	cfg  Config
-	mode FilterMode
+	cfg Config
 
 	binSec     float64
 	windowSec  float64
@@ -461,10 +437,15 @@ func NewEngine(cfg Config, opts EngineOptions) *Engine {
 	if opts.Window <= 0 {
 		opts.Window = 25
 	}
+	// FilterFIRStreaming degrades to FilterFIRBatch under
+	// MotionRejection, which needs the whole window's bin population to
+	// threshold against. cfg.Filter is the engine's live mode from here.
+	if cfg.Filter == FilterFIRStreaming && cfg.MotionRejection {
+		cfg.Filter = FilterFIRBatch
+	}
 	binSec := cfg.BinInterval.Seconds()
 	e := &Engine{
 		cfg:       cfg,
-		mode:      cfg.filterMode(),
 		binSec:    binSec,
 		windowSec: opts.Window,
 		strideSec: opts.TickStride,
@@ -493,12 +474,12 @@ func (e *Engine) ant(v vantage) *antennaState {
 		fuser: NewBinFuser(e.binSec, e.cfg.LiteralBinning, e.origin, e.windowBins+16),
 		tags:  make(map[uint32]struct{}),
 	}
-	if e.mode == FilterFIRStreaming {
+	if e.cfg.Filter == FilterFIRStreaming {
 		bp, err := sigproc.NewStreamBandPass(1/e.binSec, e.cfg.LowCutHz, e.cfg.HighCutHz)
 		if err != nil {
 			// A band the streaming designer rejects (degenerate config)
 			// falls back to the reference filter for the whole engine.
-			e.mode = FilterFFT
+			e.cfg.Filter = FilterFFT
 		} else {
 			a.bp = bp
 			a.tracker = sigproc.NewCrossingTracker(e.cfg.MinCrossingGap)
@@ -608,7 +589,7 @@ func (e *Engine) TickUpdate(asOf float64) (RateUpdate, bool) {
 	for _, a := range e.ants {
 		a.fuser.SettleBefore(asOf)
 	}
-	if e.mode == FilterFIRStreaming {
+	if e.cfg.Filter == FilterFIRStreaming {
 		e.advanceChains(asOf)
 	}
 	tickSpan := func(a *antennaState) float64 {
@@ -631,7 +612,7 @@ func (e *Engine) TickUpdate(asOf float64) (RateUpdate, bool) {
 	if t0 < e.origin {
 		t0 = e.origin
 	}
-	if e.mode == FilterFIRStreaming {
+	if e.cfg.Filter == FilterFIRStreaming {
 		return e.streamingUpdate(best, bestV, t0)
 	}
 	//tagbreathe:allow hotpath legacy O(window) recompute modes allocate by design; FIRStreaming is the enforced real-time mode
@@ -751,10 +732,8 @@ func (e *Engine) recomputeUpdate(a *antennaState, v vantage, asOf float64) (Rate
 	if nz < 4 {
 		return RateUpdate{}, false
 	}
-	cfgX := e.cfg
-	cfgX.UseFIRFilter = e.mode == FilterFIRBatch
 	sigT0 := e.origin + float64(iLo)*e.binSec
-	sig, err := ExtractBreath(bins, e.binSec, sigT0, cfgX)
+	sig, err := ExtractBreath(bins, e.binSec, sigT0, e.cfg)
 	if err != nil {
 		return RateUpdate{}, false
 	}
@@ -824,14 +803,14 @@ func (e *Engine) EvictBefore(cutoff float64) {
 	}
 	for _, a := range e.ants {
 		c := cutoff
-		if e.mode == FilterFIRStreaming {
+		if e.cfg.Filter == FilterFIRStreaming {
 			// Never evict a bin the chain hasn't consumed.
 			if t := e.origin + float64(a.next)*e.binSec; t < c {
 				c = t
 			}
 		}
 		a.fuser.EvictBefore(c)
-		if e.mode == FilterFIRStreaming && a.bp != nil && a.next >= e.warm {
+		if e.cfg.Filter == FilterFIRStreaming && a.bp != nil && a.next >= e.warm {
 			a.bp.Rebase(a.acc)
 			a.acc = 0
 		}
@@ -873,7 +852,7 @@ func (e *Engine) Lag(asOf float64) EngineLag {
 				lag.HeldAge = age
 			}
 		}
-		if e.mode != FilterFIRStreaming {
+		if e.cfg.Filter != FilterFIRStreaming {
 			continue
 		}
 		if p := a.fuser.Hi() - a.next; p > 0 {
@@ -911,12 +890,10 @@ func (e *Engine) FlushEstimate(t0, t1 float64) *UserEstimate {
 	}
 	bins := best.fuser.Flush(t0, t1)
 	var sig *BreathSignal
-	if e.mode == FilterFIRStreaming {
+	if e.cfg.Filter == FilterFIRStreaming {
 		sig = e.streamingSignal(best, bins, t0)
 	} else {
-		cfgX := e.cfg
-		cfgX.UseFIRFilter = e.mode == FilterFIRBatch
-		s, err := ExtractBreath(bins, e.binSec, t0, cfgX)
+		s, err := ExtractBreath(bins, e.binSec, t0, e.cfg)
 		if err != nil {
 			return nil
 		}

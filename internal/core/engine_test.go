@@ -227,7 +227,10 @@ func TestEstimateMatchesLegacyPipeline(t *testing.T) {
 	t0 := res.Reports[0].Timestamp.Seconds()
 	t1 := res.Reports[len(res.Reports)-1].Timestamp.Seconds()
 	for _, useFIR := range []bool{false, true} {
-		cfg := core.Config{Users: res.UserIDs, Workers: 1, UseFIRFilter: useFIR}
+		cfg := core.Config{Users: res.UserIDs, Workers: 1}
+		if useFIR {
+			cfg.Filter = core.FilterFIRBatch
+		}
 		ests, err := core.Estimate(res.Reports, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -77,7 +77,7 @@ func ExtractBreath(bins []float64, binInterval, t0 float64, cfg Config) (*Breath
 		filtered []float64
 		err      error
 	)
-	if cfg.UseFIRFilter {
+	if cfg.Filter == FilterFIRBatch {
 		// FIR path: low-pass at HighCutHz, then remove drift with a
 		// long moving average standing in for the high-pass leg.
 		taps := int(4*rate/cfg.HighCutHz) | 1

@@ -205,22 +205,17 @@ type Monitor struct {
 	// last mirrors the most recent update per user, written by the
 	// collector; LastUpdates snapshots it so operators (and chaos
 	// tests) can check per-user estimates survive transport outages
-	// without consuming the update stream. lastWall records each
-	// user's last-update wall clock (UnixNano) when StalenessSLO is
-	// set; it feeds StaleUsers and the freshness gauges.
+	// without consuming the update stream. Its ReaderID/AntennaPort are
+	// the user's currently selected vantage, which VantageClass
+	// consults (only on the shed path) so quality-aware shedding
+	// sacrifices redundant data first. lastWall records each user's
+	// last-update wall clock (UnixNano) when StalenessSLO is set; it
+	// feeds StaleUsers and the freshness gauges.
 	lastMu sync.Mutex
 	//tagbreathe:owner collectLoop NewMonitor
 	last map[uint64]RateUpdate
 	//tagbreathe:owner collectLoop NewMonitor
 	lastWall map[uint64]int64
-	// primary mirrors each user's currently selected (reader, antenna)
-	// vantage, written by the collector from every emitted update. The
-	// demux consults it — only on the shed path — to classify reports
-	// as primary (selected vantage) or redundant (any other), so
-	// quality-aware shedding sacrifices redundant data first.
-	//
-	//tagbreathe:owner collectLoop NewMonitor
-	primary map[uint64]vantage
 }
 
 // NewMonitor starts a streaming monitor. Callers must eventually call
@@ -234,7 +229,6 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 		metrics: cfg.Metrics,
 		tracer:  cfg.Tracer,
 		last:    make(map[uint64]RateUpdate),
-		primary: make(map[uint64]vantage),
 	}
 	if cfg.StalenessSLO > 0 {
 		m.lastWall = make(map[uint64]int64)
@@ -313,12 +307,12 @@ func (m *Monitor) ProcessedReports() uint64 {
 // hook — the fleet merge). Safe to call concurrently.
 func (m *Monitor) VantageClass(uid uint64, readerID string, port int) ShedClass {
 	m.lastMu.Lock() //tagbreathe:allow hotpath taken only on the demux shed path, when the queue is already near capacity and reports are being sacrificed
-	v, ok := m.primary[uid]
+	u, ok := m.last[uid]
 	m.lastMu.Unlock()
 	if !ok {
 		return ShedUnknown
 	}
-	if v.reader == readerID && v.port == port {
+	if u.ReaderID == readerID && u.AntennaPort == port {
 		return ShedPrimary
 	}
 	return ShedRedundant
@@ -852,7 +846,6 @@ func (m *Monitor) collectLoop(ticks <-chan *monitorTick) {
 			wall := time.Now().UnixNano()
 			for _, u := range ups {
 				m.last[u.UserID] = u
-				m.primary[u.UserID] = vantage{reader: u.ReaderID, port: u.AntennaPort}
 				if m.lastWall != nil {
 					m.lastWall[u.UserID] = wall
 				}

@@ -10,8 +10,8 @@ import (
 	"tagbreathe/internal/chaos"
 	"tagbreathe/internal/core"
 	"tagbreathe/internal/llrp"
-	"tagbreathe/internal/reader"
 	"tagbreathe/internal/sim"
+	"tagbreathe/internal/trace"
 )
 
 // ChaosPoint is one row of the transport-resilience study: one fault
@@ -106,9 +106,11 @@ func runChaosScript(o Options, seedOff int64, name string, steps []chaos.Step, w
 	uid := res.UserIDs[0]
 	truth := res.TrueRateBPM[uid]
 
-	src := &pacedReplay{reports: res.Reports, speed: chaosSpeed}
+	// Reconnections resume at the current stream position: reports due
+	// over 100 ms ago fell due while the link was down and are lost.
+	src := trace.NewReplay(res.Reports, chaosSpeed, 100*time.Millisecond)
 	srv, err := llrp.NewServer(llrp.ServerConfig{
-		NewSource:      func() llrp.ReportSource { return llrp.ReportSourceFunc(src.stream) },
+		NewSource:      func() llrp.ReportSource { return src },
 		KeepaliveEvery: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -135,7 +137,8 @@ func runChaosScript(o Options, seedOff int64, name string, steps []chaos.Step, w
 	defer proxy.Close()
 
 	smetrics := llrp.NewSessionMetrics(nil)
-	src.start = time.Now() // replay clock starts with the session
+	start := time.Now()
+	src.Start(start) // replay clock starts with the session
 	//tagbreathe:allow ctxflow self-contained study harness; the replay wall clock bounds the run and StopSession tears it down
 	sess, err := llrp.StartSession(context.Background(), llrp.SessionConfig{
 		Addr:        proxy.Addr(),
@@ -200,8 +203,7 @@ func runChaosScript(o Options, seedOff int64, name string, steps []chaos.Step, w
 
 	// The replay is wall-clock anchored, so the run's length is fixed
 	// regardless of how much of the stream the faults ate.
-	wallEnd := src.start.Add(time.Duration(float64(o.Duration)/chaosSpeed) + 500*time.Millisecond)
-	time.Sleep(time.Until(wallEnd))
+	_ = trace.NewPacer(start, chaosSpeed).Wait(scriptCtx, o.Duration+30*time.Second)
 
 	cancelScript()
 	script.Wait()
@@ -225,37 +227,4 @@ func runChaosScript(o Options, seedOff int64, name string, steps []chaos.Step, w
 	}
 	mu.Unlock()
 	return p, nil
-}
-
-// pacedReplay replays a recorded trace against a shared wall-clock
-// origin at speed× realtime. Every (re)connection resumes at the
-// current stream position — reports that fell due while the link was
-// down are lost, exactly as a live reader's reads would be.
-type pacedReplay struct {
-	reports []reader.TagReport
-	speed   float64
-	start   time.Time
-}
-
-func (p *pacedReplay) stream(ctx context.Context, emit func(reader.TagReport) error) error {
-	for _, r := range p.reports {
-		due := p.start.Add(time.Duration(float64(r.Timestamp) / p.speed))
-		d := time.Until(due)
-		// Slightly-late reports are emitted immediately: timer
-		// granularity overshoots per-report waits, and without slack
-		// the accumulated lag would silently drop healthy stream.
-		// Anything older fell due during an outage and is lost.
-		if d < -100*time.Millisecond {
-			continue
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(d):
-		}
-		if err := emit(r); err != nil {
-			return err
-		}
-	}
-	return nil
 }

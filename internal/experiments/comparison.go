@@ -181,7 +181,7 @@ func FilterAblation(o Options) ([]AblationPoint, error) {
 		cfg  core.Config
 	}{
 		{name: "fft-filter", cfg: core.Config{}},
-		{name: "fir-filter", cfg: core.Config{UseFIRFilter: true}},
+		{name: "fir-filter", cfg: core.Config{Filter: core.FilterFIRBatch}},
 	}
 	out := make([]AblationPoint, len(variants))
 	for i, v := range variants {

@@ -17,6 +17,7 @@
 package load
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -25,6 +26,7 @@ import (
 	"tagbreathe/internal/obs"
 	"tagbreathe/internal/reader"
 	"tagbreathe/internal/sim"
+	"tagbreathe/internal/trace"
 )
 
 // Options configures one capacity point.
@@ -218,21 +220,18 @@ func RunPoint(opts Options) (Point, error) {
 
 	cpu0 := processCPUSeconds()
 	start := time.Now()
+	// Synth staggers timestamps evenly inside each step, so pacing per
+	// report is smooth, not bursty. When behind, the pacer pushes on:
+	// the probe offers real-time load, it doesn't slow to the
+	// pipeline's pace.
+	pacer := trace.NewPacer(start, opts.Pace)
+	//tagbreathe:allow ctxflow RunPoint takes no context; the stream length bounds the paced loop
+	ctx := context.Background()
 	buf := make([]reader.TagReport, 0, syn.ReportsPerStep())
 	for k := 0; k < steps; k++ {
 		buf = syn.Next(buf[:0])
 		for _, r := range buf {
-			if opts.Pace > 0 {
-				// Synth staggers timestamps evenly inside each step, so
-				// pacing per report is smooth, not bursty. Only sleep
-				// when meaningfully ahead; when behind, push on — the
-				// probe offers real-time load, it doesn't slow to the
-				// pipeline's pace.
-				ahead := time.Duration(float64(r.Timestamp)/opts.Pace) - time.Since(start)
-				if ahead > 2*time.Millisecond {
-					time.Sleep(ahead)
-				}
-			}
+			_ = pacer.Wait(ctx, r.Timestamp) // a Background context never ends
 			m.Ingest(r)
 		}
 	}

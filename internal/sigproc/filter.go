@@ -7,19 +7,13 @@ import (
 	"tagbreathe/internal/fmath"
 )
 
-// LowPassFFT filters x with an ideal ("brick-wall") frequency-domain
-// low-pass filter: FFT, zero all bins above cutoffHz, inverse FFT. This
-// is the filter §IV-B of the paper applies with a 0.67 Hz cutoff before
-// zero-crossing analysis. The input is not modified.
-func LowPassFFT(x []float64, sampleRate, cutoffHz float64) ([]float64, error) {
-	return BandPassFFT(x, sampleRate, 0, cutoffHz)
-}
-
-// BandPassFFT filters x with an ideal frequency-domain band-pass filter
-// keeping frequencies in [lowHz, highHz]. lowHz = 0 keeps DC (a pure
-// low-pass); highHz must exceed lowHz. The paper's pipeline uses the
-// band-pass form with a small lowHz to remove the slow drift that noise
-// integration adds to the displacement accumulation.
+// BandPassFFT filters x with an ideal ("brick-wall") frequency-domain
+// band-pass filter keeping frequencies in [lowHz, highHz]. lowHz = 0
+// keeps DC: the pure low-pass §IV-B of the paper applies with a 0.67 Hz
+// cutoff. highHz must exceed lowHz. The input is not modified. The
+// paper's pipeline uses the band-pass form with a small lowHz to remove
+// the slow drift that noise integration adds to the displacement
+// accumulation.
 func BandPassFFT(x []float64, sampleRate, lowHz, highHz float64) ([]float64, error) {
 	if sampleRate <= 0 {
 		return nil, fmt.Errorf("sigproc: non-positive sample rate %v", sampleRate)

@@ -33,7 +33,7 @@ func TestLowPassFFTRemovesHighBand(t *testing.T) {
 	n := int(fs * 60)
 	low := sine(n, fs, []float64{0.2}, []float64{1})
 	noisy := sine(n, fs, []float64{0.2, 3.0}, []float64{1, 1})
-	filtered, err := LowPassFFT(noisy, fs, 0.67)
+	filtered, err := BandPassFFT(noisy, fs, 0, 0.67)
 	if err != nil {
 		t.Fatal(err)
 	}

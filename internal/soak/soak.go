@@ -23,7 +23,6 @@ import (
 	"net"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tagbreathe/internal/chaos"
@@ -32,6 +31,7 @@ import (
 	"tagbreathe/internal/llrp"
 	"tagbreathe/internal/reader"
 	"tagbreathe/internal/sim"
+	"tagbreathe/internal/trace"
 )
 
 // Profile shapes one soak run. Durations denominated in stream time
@@ -232,17 +232,17 @@ func Run(ctx context.Context, p Profile) (Result, error) {
 	}
 
 	// One independent replay per reader, each behind its own fault
-	// proxy. The replay retains StallStream of backlog across stalls
+	// proxy. The replay retains 2×StallStream of backlog across stalls
 	// and outages, so fault recovery arrives as a burst — the way a
 	// buffering reader replays reports after a link wedge.
 	stallWall := p.wall(p.StallStream)
-	sources := make([]*pacedSource, p.Readers)
+	sources := make([]*trace.Replay, p.Readers)
 	proxies := make([]*chaos.Proxy, p.Readers)
 	readers := make([]fleet.ReaderConfig, p.Readers)
 	for i := range sources {
-		src := &pacedSource{reports: res.Reports, speed: p.Speed, slack: 2 * stallWall}
+		src := trace.NewReplay(res.Reports, p.Speed, 2*stallWall)
 		srv, err := llrp.NewServer(llrp.ServerConfig{
-			NewSource:      func() llrp.ReportSource { return llrp.ReportSourceFunc(src.stream) },
+			NewSource:      func() llrp.ReportSource { return src },
 			KeepaliveEvery: 50 * time.Millisecond,
 		})
 		if err != nil {
@@ -285,7 +285,7 @@ func Run(ctx context.Context, p Profile) (Result, error) {
 	})
 	start := time.Now()
 	for _, src := range sources {
-		src.start = start
+		src.Start(start)
 	}
 	f, err := fleet.Start(ctx, fleet.Config{
 		Readers: readers,
@@ -419,12 +419,11 @@ func Run(ctx context.Context, p Profile) (Result, error) {
 	}
 
 	// Phase 3 — calm tail, then measure before teardown.
-	sleepUntil(ctx, wallEnd)
-	if err := ctx.Err(); err != nil {
+	if err := trace.NewPacer(start, p.Speed).Wait(ctx, p.StreamDuration); err != nil {
 		return Result{}, err
 	}
 	for _, src := range sources {
-		if src.exhausted() {
+		if src.Exhausted() {
 			return Result{}, fmt.Errorf("soak: trace exhausted before the run ended — lengthen StreamDuration slack")
 		}
 	}
@@ -518,60 +517,4 @@ func heapInUse() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.HeapInuse
-}
-
-// sleepUntil sleeps to the deadline unless ctx ends first.
-func sleepUntil(ctx context.Context, deadline time.Time) {
-	t := time.NewTimer(time.Until(deadline))
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
-}
-
-// pacedSource replays a recorded trace against a shared wall-clock
-// origin at speed× realtime. The emit cursor is shared across
-// (re)connections, so a reconnecting session resumes where the stream
-// left off; reports up to slack late are still emitted — the retained
-// backlog a buffering reader replays after a stall, and the burst the
-// soak's overload assertions rely on — while anything older is lost,
-// as a live reader's reads would be.
-type pacedSource struct {
-	reports []reader.TagReport
-	speed   float64
-	start   time.Time
-	slack   time.Duration
-	next    atomic.Int64
-}
-
-func (p *pacedSource) exhausted() bool {
-	return p.next.Load() >= int64(len(p.reports))
-}
-
-func (p *pacedSource) stream(ctx context.Context, emit func(reader.TagReport) error) error {
-	for {
-		i := p.next.Add(1) - 1
-		if i >= int64(len(p.reports)) {
-			return nil
-		}
-		r := p.reports[i]
-		due := p.start.Add(time.Duration(float64(r.Timestamp) / p.speed))
-		d := time.Until(due)
-		if d < -p.slack {
-			continue // fell due during an outage longer than the retention buffer; lost
-		}
-		if d > 0 {
-			t := time.NewTimer(d)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return ctx.Err()
-			case <-t.C:
-			}
-		}
-		if err := emit(r); err != nil {
-			return err
-		}
-	}
 }

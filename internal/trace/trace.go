@@ -3,7 +3,8 @@
 // reader's raw output once, then develop, regress, and tune the
 // pipeline against the recorded trace offline. The column layout
 // mirrors the record fields of Fig. 10 ({RSS, Doppler, Phase, Time
-// Stamp} per read, plus identity and channel metadata).
+// Stamp} per read, plus identity and channel metadata). Replay plays a
+// trace back as a reader's live stream, paced against the wall clock.
 package trace
 
 import (

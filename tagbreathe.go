@@ -94,11 +94,9 @@ type (
 
 // Band-pass filter modes for Config.Filter.
 const (
-	// FilterDefault resolves via Config.UseFIRFilter: the FFT filter
-	// unless it asks for the batch FIR.
-	FilterDefault = core.FilterDefault
-	// FilterFFT recomputes the window each tick through the FFT
-	// band-pass — the paper's reference extraction (§IV-B).
+	// FilterFFT (the zero value) recomputes the window each tick
+	// through the FFT band-pass — the paper's reference extraction
+	// (§IV-B).
 	FilterFFT = core.FilterFFT
 	// FilterFIRBatch recomputes the window each tick through the
 	// linear-phase FIR band-pass.
