@@ -7,8 +7,19 @@
 // The paper's breath-extraction pipeline (§IV-B) is built from these
 // parts: an FFT-based low-pass filter with a 0.67 Hz cutoff, an inverse
 // FFT back to the time domain, and a zero-crossing rate estimator. The
-// package has no dependencies beyond the standard library and no package
-// state; everything is a pure function over slices.
+// package has no dependencies beyond the standard library, and every
+// exported function is a pure function over slices.
+//
+// The only package state is a transform plan cache, in the style of
+// FFTW plans: one forward twiddle table sized for the longest
+// power-of-two transform seen so far, and per-length Bluestein plans
+// (the chirp and its padded transforms). Plans are built on first use
+// and then only read, so shard workers share them and a lookup takes
+// no lock: the twiddle table is swapped in by compare-and-swap and
+// plans are published through a sync.Map. The table keeps m/2 entries
+// for the largest m; at most maxBluesteinPlans lengths keep a plan, and
+// the oldest is evicted and rebuilt if used again. A planned transform
+// is bit-identical to one that computes every factor directly.
 package sigproc
 
 import (
@@ -16,6 +27,8 @@ import (
 	"math"
 	"math/bits"
 	"math/cmplx"
+	"sync"
+	"sync/atomic"
 
 	"tagbreathe/internal/fmath"
 )
@@ -71,7 +84,44 @@ func fftInPlace(x []complex128, inverse bool) {
 	bluestein(x, inverse)
 }
 
+// twiddles holds the forward twiddle factors exp(-2πi j/m), j < m/2,
+// for the largest power-of-two length m transformed so far. It only
+// grows: a transform of size n ≤ m reads every (m/n)-th entry.
+var twiddles atomic.Pointer[[]complex128]
+
+// growTwiddles returns a forward twiddle table covering length n,
+// replacing the shared one if it is shorter. Racing growers each build
+// a table; the values are the same, so whichever wins serves all.
+func growTwiddles(n int) []complex128 {
+	for {
+		cur := twiddles.Load()
+		if cur != nil && 2*len(*cur) >= n {
+			return *cur
+		}
+		t := make([]complex128, n/2)
+		// Stage size s reads entry k·(n/s). Dividing the step by a power
+		// of two and multiplying k by it is exact, so the entry is
+		// bit-identical to the direct Sincos(step_s·k); Sincos is odd, so
+		// its conjugate is bit-identical to the direct inverse twiddle.
+		sign := -1.0
+		step := 2 * math.Pi / float64(n) * sign
+		for k := range t {
+			s, c := math.Sincos(step * float64(k))
+			t[k] = complex(c, s)
+		}
+		if twiddles.CompareAndSwap(cur, &t) {
+			return t
+		}
+	}
+}
+
 // radix2 is an iterative in-place Cooley-Tukey FFT for power-of-two n.
+// Twiddles come from the shared table: computing each one directly
+// (rather than by a per-block recurrence, which accumulates error over
+// long transforms) keeps the round-trip error near machine epsilon,
+// which the property tests assert.
+//
+//tagbreathe:hotpath twice per Bluestein transform, every FFT-mode tick of every user
 func radix2(x []complex128, inverse bool) {
 	n := len(x)
 	shift := 64 - uint(bits.Len(uint(n-1)))
@@ -82,70 +132,142 @@ func radix2(x []complex128, inverse bool) {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
+	var tw []complex128
+	if p := twiddles.Load(); p != nil && 2*len(*p) >= n {
+		tw = *p
+	} else {
+		//tagbreathe:allow hotpath the table grows only when a transform is longer than any before it
+		tw = growTwiddles(n)
 	}
+	span := 2 * len(tw)
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1
-		step := 2 * math.Pi / float64(size) * sign
-		// Per-block twiddle recurrence would accumulate error over long
-		// transforms; computing each twiddle directly keeps the
-		// round-trip error near machine epsilon, which the property
-		// tests assert.
+		stride := span / size
 		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				s, c := math.Sincos(step * float64(k))
-				w := complex(c, s)
-				a := x[start+k]
-				b := x[start+k+half] * w
-				x[start+k] = a + b
-				x[start+k+half] = a - b
+			lo, hi := x[start:start+half], x[start+half:start+size]
+			for k := range lo {
+				w := tw[k*stride]
+				if inverse {
+					w = cmplx.Conj(w)
+				}
+				a := lo[k]
+				b := hi[k] * w
+				lo[k] = a + b
+				hi[k] = a - b
 			}
 		}
 	}
 }
 
-// bluestein computes an arbitrary-length DFT as a convolution, using a
-// zero-padded power-of-two FFT of length ≥ 2n-1 (chirp z-transform).
-func bluestein(x []complex128, inverse bool) {
-	n := len(x)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
+// maxBluesteinPlans bounds how many lengths keep a Bluestein plan.
+// Steady-state callers cycle through a few window lengths; a caller
+// sweeping arbitrary lengths evicts the oldest plans, which rebuild on
+// their next use.
+const maxBluesteinPlans = 64
+
+// bluesteinPlan is the per-length state of the chirp z-transform.
+type bluesteinPlan struct {
+	// w is the forward chirp exp(-iπk²/n); the inverse chirp is its
+	// (bit-exact) conjugate.
+	w []complex128
+	// chirpSpec[d] is the radix-2 transform of the zero-padded
+	// conjugate chirp of direction d (0 forward, 1 inverse), length m.
+	chirpSpec [2][]complex128
+}
+
+var (
+	bluesteinPlans sync.Map // int length -> *bluesteinPlan
+	bluesteinOrder struct {
+		sync.Mutex
+		lengths []int // cached lengths, oldest first
 	}
-	// Chirp factors w[k] = exp(sign * iπ k² / n). Using k² mod 2n keeps
-	// the argument small and the sin/cos accurate for large k.
-	w := make([]complex128, n)
-	for k := 0; k < n; k++ {
+)
+
+// bluesteinPlanFor returns the plan for length n, building and caching
+// it on first use. Concurrent first uses may each build one; the first
+// stored wins and the rest are dropped.
+func bluesteinPlanFor(n int) *bluesteinPlan {
+	if p, ok := bluesteinPlans.Load(n); ok {
+		return p.(*bluesteinPlan)
+	}
+	p, loaded := bluesteinPlans.LoadOrStore(n, newBluesteinPlan(n))
+	if !loaded {
+		o := &bluesteinOrder
+		o.Lock()
+		o.lengths = append(o.lengths, n)
+		if len(o.lengths) > maxBluesteinPlans {
+			bluesteinPlans.Delete(o.lengths[0])
+			o.lengths = append(o.lengths[:0], o.lengths[1:]...)
+		}
+		o.Unlock()
+	}
+	return p.(*bluesteinPlan)
+}
+
+func newBluesteinPlan(n int) *bluesteinPlan {
+	// Chirp factors w[k] = exp(-iπ k² / n). Using k² mod 2n keeps the
+	// argument small and the sin/cos accurate for large k.
+	p := &bluesteinPlan{w: make([]complex128, n)}
+	sign := -1.0
+	for k := range p.w {
 		kk := (int64(k) * int64(k)) % int64(2*n)
 		s, c := math.Sincos(sign * math.Pi * float64(kk) / float64(n))
-		w[k] = complex(c, s)
+		p.w[k] = complex(c, s)
 	}
-
 	m := 1
 	for m < 2*n-1 {
 		m <<= 1
 	}
-	a := make([]complex128, m)
-	b := make([]complex128, m)
-	for k := 0; k < n; k++ {
-		a[k] = x[k] * w[k]
-		conj := cmplx.Conj(w[k])
-		b[k] = conj
-		if k > 0 {
-			b[m-k] = conj
+	for d := range p.chirpSpec {
+		b := make([]complex128, m)
+		for k, wk := range p.w {
+			conj := cmplx.Conj(wk)
+			if d == 1 {
+				conj = wk // conjugate of the inverse chirp
+			}
+			b[k] = conj
+			if k > 0 {
+				b[m-k] = conj
+			}
 		}
+		radix2(b, false)
+		p.chirpSpec[d] = b
+	}
+	return p
+}
+
+// bluestein computes an arbitrary-length DFT as a convolution, using a
+// zero-padded power-of-two FFT of length ≥ 2n-1 (chirp z-transform).
+// The chirp and its transform come from the length's cached plan, so a
+// call costs two radix-2 transforms and no trigonometry.
+func bluestein(x []complex128, inverse bool) {
+	p := bluesteinPlanFor(len(x))
+	d := 0
+	if inverse {
+		d = 1
+	}
+	spec := p.chirpSpec[d]
+	m := len(spec)
+	a := make([]complex128, m)
+	for k, v := range x {
+		wk := p.w[k]
+		if inverse {
+			wk = cmplx.Conj(wk)
+		}
+		a[k] = v * wk
 	}
 	radix2(a, false)
-	radix2(b, false)
 	for i := range a {
-		a[i] *= b[i]
+		a[i] *= spec[i]
 	}
 	radix2(a, true)
 	scale := complex(1/float64(m), 0)
-	for k := 0; k < n; k++ {
-		x[k] = a[k] * scale * w[k]
+	for k := range x {
+		wk := p.w[k]
+		if inverse {
+			wk = cmplx.Conj(wk)
+		}
+		x[k] = a[k] * scale * wk
 	}
 }
 

@@ -40,10 +40,13 @@ func BandPassFFT(x []float64, sampleRate, lowHz, highHz float64) ([]float64, err
 			spec[i] = 0
 		}
 	}
-	y := IFFT(spec)
+	fftInPlace(spec, true)
+	// Dividing by the complex n, as IFFT does, keeps the output
+	// bit-identical to IFFT(FFTReal(x)) after the mask.
+	scale := complex(float64(n), 0)
 	out := make([]float64, n)
-	for i, v := range y {
-		out[i] = real(v)
+	for i, v := range spec {
+		out[i] = real(v / scale)
 	}
 	return out, nil
 }

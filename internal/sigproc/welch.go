@@ -44,9 +44,9 @@ func WelchPSD(x []float64, sampleRate float64, segmentLen int) (freqs, psd []flo
 		for i, v := range seg {
 			buf[i] = complex((v-mean)*window[i], 0)
 		}
-		spec := FFT(buf)
+		fftInPlace(buf, false)
 		for k := 0; k < half; k++ {
-			re, im := real(spec[k]), imag(spec[k])
+			re, im := real(buf[k]), imag(buf[k])
 			p := (re*re + im*im) / (winPower * sampleRate)
 			if k != 0 && k != segmentLen/2 {
 				p *= 2 // fold negative frequencies into the one-sided PSD
