@@ -5,8 +5,11 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# The nested benchmark module is outside the root ./...; its smoke
+# test drives the session, fleet and monitor APIs end to end.
 test:
 	$(GO) test ./...
+	$(GO) -C benchmark test -count=1 ./...
 
 race:
 	$(GO) test -race ./...

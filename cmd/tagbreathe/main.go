@@ -64,10 +64,9 @@ func main() {
 		replayPath  = flag.String("replay", "", "replay a recorded CSV trace instead of simulating")
 		connect     connectFlags
 		listenFor   = flag.Duration("listen", 30*time.Second, "with -connect: how long to stream")
-		reconnect   = flag.Bool("reconnect", true, "with -connect: supervise the link and auto-reconnect with backoff (false: one connection, fail on first error)")
-		backoffMin  = flag.Duration("reconnect-min", 100*time.Millisecond, "with -reconnect: initial reconnect backoff")
-		backoffMax  = flag.Duration("reconnect-max", 30*time.Second, "with -reconnect: backoff ceiling")
-		watchdog    = flag.Duration("watchdog", 10*time.Second, "with -reconnect: drop and redial a link silent this long (0 disables)")
+		backoffMin  = flag.Duration("reconnect-min", 100*time.Millisecond, "with -connect: initial reconnect backoff")
+		backoffMax  = flag.Duration("reconnect-max", 30*time.Second, "with -connect: reconnect backoff ceiling")
+		watchdog    = flag.Duration("watchdog", 10*time.Second, "with -connect: drop and redial a link silent this long (0 disables)")
 		vitals      = flag.Bool("vitals", false, "print the respiratory summary (breaths, depth, I:E, apneas)")
 		heart       = flag.Bool("heart", false, "also run the experimental cardiac estimator")
 		motion      = flag.Bool("motion", false, "enable motion-artifact rejection")
@@ -86,8 +85,8 @@ func main() {
 		posture: *posture, orientation: *orientation, contending: *contending,
 		pattern: *pattern, fidget: *fidget, seed: *seed, csvPath: *csvPath,
 		vitals: *vitals, heart: *heart, motion: *motion, quiet: *quiet,
-		reconnect: *reconnect, backoffMin: *backoffMin, backoffMax: *backoffMax,
-		watchdog: *watchdog, staleAfter: *staleAfter, maxStretch: *maxStretch,
+		backoffMin: *backoffMin, backoffMax: *backoffMax, watchdog: *watchdog,
+		staleAfter: *staleAfter, maxStretch: *maxStretch,
 	}
 	switch *filterName {
 	case "fft":
@@ -175,7 +174,6 @@ type runOptions struct {
 	quiet                       bool
 	metrics                     *tagbreathe.MetricsRegistry
 	livePrinted                 bool
-	reconnect                   bool
 	backoffMin, backoffMax      time.Duration
 	watchdog                    time.Duration
 	staleAfter                  time.Duration
@@ -270,24 +268,14 @@ func replayTrace(path string) ([]tagbreathe.TagReport, error) {
 }
 
 // streamLLRP collects reports from an LLRP endpoint for the listen
-// window. With -reconnect (the default) the link is a managed session
-// that redials with backoff and re-provisions the ROSpec after any
-// failure, so a reader restart mid-run costs a gap, not the run; with
-// -reconnect=false a single connection is made and the first link
-// error ends collection. Unless -quiet, the reports also feed a live
-// Monitor as they arrive, so realtime updates print (and the
-// monitor's metrics are live on -debug-addr) while the stream is
-// still running — the deployment shape of Fig. 11.
+// window through a supervised session that owns the connection
+// lifecycle end to end: it redials with backoff and re-provisions the
+// ROSpec after any failure, so a reader restart mid-run costs a gap,
+// not the run. Unless -quiet, the reports also feed a live Monitor as
+// they arrive, so realtime updates print (and the monitor's metrics
+// are live on -debug-addr) while the stream is still running — the
+// deployment shape of Fig. 11.
 func streamLLRP(addr string, listenFor time.Duration, o runOptions) ([]tagbreathe.TagReport, error) {
-	if o.reconnect {
-		return streamSession(addr, listenFor, o)
-	}
-	return streamOnce(addr, listenFor, o)
-}
-
-// streamSession is the resilient -connect path: a supervised session
-// owns the connection lifecycle end to end.
-func streamSession(addr string, listenFor time.Duration, o runOptions) ([]tagbreathe.TagReport, error) {
 	logger := obs.Logger("llrp-session")
 	sess, err := tagbreathe.StartLLRPSession(context.Background(), tagbreathe.LLRPSessionConfig{
 		Addr:          addr,
@@ -409,36 +397,6 @@ func streamFleet(targets []string, listenFor time.Duration, o runOptions) ([]tag
 			line += fmt.Sprintf(", shed by class %v", s.ShedByClass)
 		}
 		fmt.Println(line)
-	}
-	fmt.Printf("collected %d reads\n\n", len(reports))
-	return reports, nil
-}
-
-// streamOnce is the legacy single-connection -connect path.
-func streamOnce(addr string, listenFor time.Duration, o runOptions) ([]tagbreathe.TagReport, error) {
-	client, err := tagbreathe.DialLLRPTraced(addr, tagbreathe.NewLLRPClientMetrics(o.metrics), o.tracer)
-	if err != nil {
-		return nil, err
-	}
-	defer client.Close()
-	if err := client.SetReaderConfig(); err != nil {
-		return nil, err
-	}
-	const spec = 1
-	if err := client.AddROSpec(tagbreathe.ROSpecConfig{ROSpecID: spec, ReportEveryN: 32}); err != nil {
-		return nil, err
-	}
-	if err := client.EnableROSpec(spec); err != nil {
-		return nil, err
-	}
-	if err := client.StartROSpec(spec); err != nil {
-		return nil, err
-	}
-	fmt.Printf("streaming from %s for %v\n", addr, listenFor)
-
-	reports := collectReports(client.Reports(), listenFor, o, newLiveMonitor(o))
-	if err := client.StopROSpec(spec); err != nil {
-		fmt.Fprintf(os.Stderr, "tagbreathe: stop rospec: %v\n", err)
 	}
 	fmt.Printf("collected %d reads\n\n", len(reports))
 	return reports, nil

@@ -81,6 +81,13 @@ func (c *DegradeConfig) fillDefaults() {
 
 func (c DegradeConfig) enabled() bool { return c.MaxStretch > 1 }
 
+// engageMark is the broadcast-time queue occupancy, on a queue of
+// queueCap slots, at or above which the ladder escalates one rung.
+func (c DegradeConfig) engageMark(queueCap int) int {
+	c.fillDefaults()
+	return int(float64(queueCap) * c.EngageFraction)
+}
+
 // tickGovernor is one shard worker's degradation controller. It is
 // owned and driven exclusively by that worker's event loop; no locks,
 // no allocations past construction.
@@ -102,7 +109,7 @@ func newTickGovernor(cfg DegradeConfig, queueCap int) *tickGovernor {
 	cfg.fillDefaults()
 	g := &tickGovernor{
 		cfg:     cfg,
-		engage:  int(float64(queueCap) * cfg.EngageFraction),
+		engage:  cfg.engageMark(queueCap),
 		release: int(float64(queueCap) * cfg.ReleaseFraction),
 		stretch: 1,
 	}

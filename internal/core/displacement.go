@@ -242,14 +242,6 @@ type Config struct {
 	// NewEstimateMetrics). Nil disables: Estimate's results are
 	// identical either way; only observation changes.
 	Metrics *EstimateMetrics
-	// LiteralBinning reproduces the paper's Eq. 6 exactly: each
-	// displacement sample lands wholly in the bin of its later
-	// reading. The default spreads each sample over the interval it
-	// accrued across — identical for dense reads, and markedly more
-	// robust when same-channel reads arrive seconds apart (heavy
-	// contention, sideways users). The spreading ablation quantifies
-	// the difference.
-	LiteralBinning bool
 }
 
 // fillDefaults installs the paper's parameter values for unset fields.

@@ -51,7 +51,7 @@ const (
 	FilterFIRStreaming
 )
 
-// BinFuser is the incremental form of FuseBins/FuseBinsLiteral: it
+// BinFuser is the incremental form of FuseBins: it
 // maintains the Eq. 6 bin grid (anchored at origin, binSec wide) as a
 // growable ring buffer, depositing each displacement sample into only
 // the bins its accrual interval covers. Deposits replicate the batch
@@ -66,9 +66,8 @@ const (
 // declares a bound — exactly reproducing the batch exclusion at every
 // tick boundary.
 type BinFuser struct {
-	binSec  float64
-	literal bool
-	origin  float64 // left edge of bin 0
+	binSec float64
+	origin float64 // left edge of bin 0
 
 	ring []float64 // power-of-two sized; slot = index & mask
 	mask int
@@ -83,22 +82,19 @@ type BinFuser struct {
 	pendMinTPrev float64
 }
 
-// NewBinFuser builds a fuser on the grid {origin + i·binSec}. literal
-// selects the paper's verbatim Eq. 6 (whole sample into the ending
-// bin) over the default interval spreading. capacityBins sizes the
-// ring initially; it grows on demand.
-func NewBinFuser(binSec float64, literal bool, origin float64, capacityBins int) *BinFuser {
+// NewBinFuser builds a fuser on the grid {origin + i·binSec}.
+// capacityBins sizes the ring initially; it grows on demand.
+func NewBinFuser(binSec float64, origin float64, capacityBins int) *BinFuser {
 	cap2 := 16
 	for cap2 < capacityBins {
 		cap2 <<= 1
 	}
 	return &BinFuser{
-		binSec:  binSec,
-		literal: literal,
-		origin:  origin,
-		ring:    make([]float64, cap2),
-		mask:    cap2 - 1,
-		floor:   origin,
+		binSec: binSec,
+		origin: origin,
+		ring:   make([]float64, cap2),
+		mask:   cap2 - 1,
+		floor:  origin,
 	}
 }
 
@@ -164,16 +160,12 @@ func (f *BinFuser) HeldFloor() float64 {
 	return f.pendMinTPrev
 }
 
-// deposit replicates fuseBins' per-sample arithmetic with the evicted
+// deposit replicates FuseBins' per-sample arithmetic with the evicted
 // floor standing in for the window start t0: identical bin indices,
 // identical bin-edge overlap terms, identical renormalization.
 func (f *BinFuser) deposit(s DisplacementSample) {
 	if s.T < f.floor {
 		return // entirely inside the evicted region
-	}
-	if f.literal {
-		f.add(f.clampLow(f.binIndex(s.T)), s.D)
-		return
 	}
 	lo, hi := s.TPrev, s.T
 	if lo < f.floor {
@@ -283,8 +275,7 @@ func (f *BinFuser) WindowBins(iLo, iHi int, dst []float64) []float64 {
 // Flush settles what can settle before t1 and materializes the grid
 // over [t0, t1) — the batch path's terminal operation. Fed the same
 // in-order samples, the result is bit-identical to
-// FuseBins(samples, binSec, t0, t1) (and, in literal mode, matches
-// FuseBinsLiteral up to the addition order of out-of-grid clamping).
+// FuseBins(samples, binSec, t0, t1).
 func (f *BinFuser) Flush(t0, t1 float64) []float64 {
 	if f.binSec <= 0 || t1 <= t0 {
 		return nil
@@ -298,12 +289,6 @@ func (f *BinFuser) Flush(t0, t1 float64) []float64 {
 	i0 := f.binIndex(t0)
 	for i := range out {
 		out[i] = f.ValueAt(i0 + i)
-	}
-	if f.literal {
-		// Batch clampBin folds beyond-grid deposits into the last bin.
-		for i := i0 + n; i < f.hi; i++ {
-			out[n-1] += f.ValueAt(i)
-		}
 	}
 	return out
 }
@@ -471,7 +456,7 @@ func (e *Engine) ant(v vantage) *antennaState {
 		return a
 	}
 	a = &antennaState{
-		fuser: NewBinFuser(e.binSec, e.cfg.LiteralBinning, e.origin, e.windowBins+16),
+		fuser: NewBinFuser(e.binSec, e.origin, e.windowBins+16),
 		tags:  make(map[uint32]struct{}),
 	}
 	if e.cfg.Filter == FilterFIRStreaming {
@@ -879,7 +864,7 @@ func (e *Engine) FlushEstimate(t0, t1 float64) *UserEstimate {
 	}
 	span := t1 - t0
 	if span <= 0 {
-		span = 1 // parity with RankAntennas' degenerate-span guard
+		span = 1 // degenerate window: score read counts as rates, like the batch-selection oracle
 	}
 	best, bestV, ok := e.selectAntenna(func(*antennaState) float64 { return span }, false)
 	if !ok {

@@ -194,9 +194,6 @@ func legacyEstimate(reports []reader.TagReport, uid uint64, t0, t1 float64, cfg 
 	sort.Slice(samples, func(i, j int) bool { return samples[i].T < samples[j].T })
 	binSec := 0.0625 // the default BinInterval
 	bins := core.FuseBins(samples, binSec, t0, t1)
-	if cfg.LiteralBinning {
-		bins = core.FuseBinsLiteral(samples, binSec, t0, t1)
-	}
 	sig, err := core.ExtractBreath(bins, binSec, t0, cfg)
 	if err != nil {
 		return nil
@@ -340,40 +337,33 @@ func TestTickReadRateSingleRead(t *testing.T) {
 
 // TestBinFuserMatchesBatchFusion drives random in-order displacement
 // streams through a BinFuser with interleaved settles and compares the
-// flush against the batch fuser, both modes.
+// flush against the batch fuser.
 func TestBinFuserMatchesBatchFusion(t *testing.T) {
-	for _, literal := range []bool{false, true} {
-		samples := make([]core.DisplacementSample, 0, 500)
-		tprev := 0.13
-		tt := 0.4
-		for i := 0; i < 500; i++ {
-			d := math.Sin(float64(i) * 0.7)
-			samples = append(samples, core.DisplacementSample{T: tt, TPrev: tprev, D: d})
-			tprev = tt
-			tt += 0.05 + 0.3*math.Abs(math.Sin(float64(i)*1.3))
+	samples := make([]core.DisplacementSample, 0, 500)
+	tprev := 0.13
+	tt := 0.4
+	for i := 0; i < 500; i++ {
+		d := math.Sin(float64(i) * 0.7)
+		samples = append(samples, core.DisplacementSample{T: tt, TPrev: tprev, D: d})
+		tprev = tt
+		tt += 0.05 + 0.3*math.Abs(math.Sin(float64(i)*1.3))
+	}
+	t0, t1 := 0.0, samples[len(samples)-1].T
+	want := core.FuseBins(samples, 0.0625, t0, t1)
+	fz := core.NewBinFuser(0.0625, t0, 64)
+	for i, s := range samples {
+		fz.Add(s)
+		if i%37 == 0 {
+			fz.SettleBefore(s.T) // exercise the pending hold
 		}
-		t0, t1 := 0.0, samples[len(samples)-1].T
-		var want []float64
-		if literal {
-			want = core.FuseBinsLiteral(samples, 0.0625, t0, t1)
-		} else {
-			want = core.FuseBins(samples, 0.0625, t0, t1)
-		}
-		fz := core.NewBinFuser(0.0625, literal, t0, 64)
-		for i, s := range samples {
-			fz.Add(s)
-			if i%37 == 0 {
-				fz.SettleBefore(s.T) // exercise the pending hold
-			}
-		}
-		got := fz.Flush(t0, t1)
-		if len(got) != len(want) {
-			t.Fatalf("literal=%v: %d bins, batch %d", literal, len(got), len(want))
-		}
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-12 {
-				t.Fatalf("literal=%v bin %d: %.15g, batch %.15g", literal, i, got[i], want[i])
-			}
+	}
+	got := fz.Flush(t0, t1)
+	if len(got) != len(want) {
+		t.Fatalf("%d bins, batch %d", len(got), len(want))
+	}
+	for i := range got {
+		if math.Abs(got[i]-want[i]) > 1e-12 {
+			t.Fatalf("bin %d: %.15g, batch %.15g", i, got[i], want[i])
 		}
 	}
 }
@@ -383,10 +373,10 @@ func TestBinFuserMatchesBatchFusion(t *testing.T) {
 // BinFuser with interleaved settles and evictions. The fuser must not
 // panic and must flush finite bins.
 func FuzzBinFuser(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, false)
-	f.Add([]byte{200, 100, 0, 0, 255, 255, 9, 9, 9, 1, 2, 3}, true)
-	f.Fuzz(func(t *testing.T, data []byte, literal bool) {
-		fz := core.NewBinFuser(0.0625, literal, 0, 16)
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	f.Add([]byte{200, 100, 0, 0, 255, 255, 9, 9, 9, 1, 2, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fz := core.NewBinFuser(0.0625, 0, 16)
 		for len(data) >= 6 {
 			rec := data[:6]
 			data = data[6:]

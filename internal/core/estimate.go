@@ -99,29 +99,6 @@ func abs(v float64) float64 {
 	return v
 }
 
-// WindowReports filters reports to a time window [from, to) — used by
-// sliding-window processing and the experiments.
-func WindowReports(reports []reader.TagReport, from, to time.Duration) []reader.TagReport {
-	var out []reader.TagReport
-	for _, r := range reports {
-		if r.Timestamp >= from && r.Timestamp < to {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// SplitByUser partitions reports by the user ID encoded in their EPCs,
-// the grouping step of Fig. 10's workflow.
-func SplitByUser(reports []reader.TagReport) map[uint64][]reader.TagReport {
-	out := make(map[uint64][]reader.TagReport)
-	for _, r := range reports {
-		uid := epcUserID(r.EPC)
-		out[uid] = append(out[uid], r)
-	}
-	return out
-}
-
 // ErrNoSignal is returned by helpers that require an extractable
 // breathing signal when the window lacks one.
 var ErrNoSignal = fmt.Errorf("core: no extractable breathing signal in window")

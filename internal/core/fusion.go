@@ -2,10 +2,8 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"tagbreathe/internal/fmath"
-	"tagbreathe/internal/reader"
 )
 
 // FuseBins implements Eq. 6: displacement samples from all of a user's
@@ -19,21 +17,13 @@ import (
 // together during inhalation (§IV-D.1) — while their independent phase
 // noise adds incoherently, improving SNR by roughly √n, and it runs the
 // expensive extraction once per user instead of once per tag (§IV-C).
+//
+// Each sample is spread over the interval it accrued across rather
+// than deposited wholly into its ending bin as the paper's Eq. 6 reads:
+// identical for dense reads, and markedly more robust when
+// same-channel reads arrive seconds apart (heavy contention, sideways
+// users).
 func FuseBins(samples []DisplacementSample, binInterval, t0, t1 float64) []float64 {
-	return fuseBins(samples, binInterval, t0, t1, false)
-}
-
-// FuseBinsLiteral is the paper's Eq. 6 verbatim: each displacement
-// sample is deposited wholly into the bin containing its later
-// reading's timestamp. With dense reads it matches FuseBins; with
-// sparse streams it aliases multi-second displacements into single
-// bins, which is exactly the behaviour the spreading refinement (and
-// its ablation) exists to measure.
-func FuseBinsLiteral(samples []DisplacementSample, binInterval, t0, t1 float64) []float64 {
-	return fuseBins(samples, binInterval, t0, t1, true)
-}
-
-func fuseBins(samples []DisplacementSample, binInterval, t0, t1 float64, literal bool) []float64 {
 	if binInterval <= 0 || t1 <= t0 {
 		return nil
 	}
@@ -44,10 +34,6 @@ func fuseBins(samples []DisplacementSample, binInterval, t0, t1 float64, literal
 	out := make([]float64, n)
 	for _, s := range samples {
 		if s.T < t0 || s.T >= t1 {
-			continue
-		}
-		if literal {
-			out[clampBin(int((s.T-t0)/binInterval), n)] += s.D
 			continue
 		}
 		lo, hi := s.TPrev, s.T
@@ -103,8 +89,7 @@ func clampBin(i, n int) int {
 type AntennaQuality struct {
 	UserID uint64
 	// Reader names the vantage's reader; empty for the unnamed
-	// single-reader case (RankAntennas' batch input is one reader's
-	// stream, so it never sets this).
+	// single-reader case.
 	Reader   string
 	Antenna  int
 	Reads    int
@@ -122,63 +107,6 @@ func (q AntennaQuality) Score() float64 {
 		rssiTerm = 0
 	}
 	return q.ReadRate + 0.5*rssiTerm
-}
-
-// RankAntennas computes per-(user, antenna) quality over a report
-// window of spanSeconds and returns, per user, qualities sorted best
-// first. Only reports for allowed users are considered.
-func RankAntennas(reports []reader.TagReport, cfg Config, spanSeconds float64) map[uint64][]AntennaQuality {
-	if spanSeconds <= 0 {
-		spanSeconds = 1
-	}
-	type key struct {
-		user    uint64
-		antenna int
-	}
-	counts := make(map[key]int)
-	rssiSum := make(map[key]float64)
-	for _, r := range reports {
-		uid := epcUserID(r.EPC)
-		if !cfg.allowsUser(uid) {
-			continue
-		}
-		k := key{uid, r.AntennaPort}
-		counts[k]++
-		rssiSum[k] += float64(r.RSSI)
-	}
-	out := make(map[uint64][]AntennaQuality)
-	for k, c := range counts {
-		out[k.user] = append(out[k.user], AntennaQuality{
-			UserID:   k.user,
-			Antenna:  k.antenna,
-			Reads:    c,
-			ReadRate: float64(c) / spanSeconds,
-			MeanRSSI: rssiSum[k] / float64(c),
-		})
-	}
-	for uid := range out {
-		qs := out[uid]
-		sort.Slice(qs, func(i, j int) bool {
-			si, sj := qs[i].Score(), qs[j].Score()
-			if !fmath.ExactEq(si, sj) {
-				return si > sj
-			}
-			return qs[i].Antenna < qs[j].Antenna // deterministic order
-		})
-	}
-	return out
-}
-
-// SelectAntenna returns the optimal antenna port for each user given
-// ranked qualities; users with no reads are absent from the result.
-func SelectAntenna(ranked map[uint64][]AntennaQuality) map[uint64]int {
-	out := make(map[uint64]int, len(ranked))
-	for uid, qs := range ranked {
-		if len(qs) > 0 {
-			out[uid] = qs[0].Antenna
-		}
-	}
-	return out
 }
 
 // fusedStats summarizes a fused bin stream for quality reporting.

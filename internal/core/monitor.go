@@ -441,11 +441,9 @@ type shardInput struct {
 	closeVantage bool
 }
 
-// gateKey identifies one user's (reader, antenna) vantage gate in the
-// demux's quality-aware shedding state.
-type gateKey struct {
-	uid uint64
-	v   vantage
+// classify is the demux gate's vantage classifier.
+func (m *Monitor) classify(r reader.TagReport) ShedClass {
+	return m.VantageClass(r.EPC.UserID(), r.ReaderID, r.AntennaPort)
 }
 
 // demuxLoop is the routing stage: it owns the user→worker assignment
@@ -482,28 +480,15 @@ func (m *Monitor) demuxLoop(ticks chan<- *monitorTick) {
 	var nextUpdate time.Duration
 	started := false
 
-	// Quality-aware shedding (OverloadDropNewest only): once a queue is
-	// near capacity, redundant-vantage reports are shed proactively so
-	// the remaining slots carry primary data; hard-full drops are
-	// classified the same way. Without the ladder the watermark sits at
-	// the last eighth of the queue. With the ladder it sits midway
-	// between the engage mark and capacity: strictly above engage,
-	// because shedding redundant vantages is the rung AFTER tick
-	// stretching (DESIGN.md §13) — were the marks equal, watermark
-	// shedding would clamp broadcast-time occupancy just below engage
-	// and the ladder could never climb — while the half-queue of
-	// headroom above it absorbs the primary-vantage inflow that lands
-	// while the gates close. Counter handles are resolved once — the
-	// per-shed cost is one atomic increment.
-	shedMark := m.cfg.ShardQueue - m.cfg.ShardQueue/8
-	if m.cfg.Degrade.enabled() {
-		d := m.cfg.Degrade
-		d.fillDefaults()
-		engage := int(float64(m.cfg.ShardQueue) * d.EngageFraction)
-		shedMark = (engage + m.cfg.ShardQueue) / 2
-	}
-	if shedMark < 1 {
-		shedMark = 1
+	// Quality-aware shedding (OverloadDropNewest only; nil gate under
+	// OverloadBlock): once a queue is near capacity, redundant-vantage
+	// reports are shed proactively so the remaining slots carry primary
+	// data; hard-full drops are classified the same way. Counter handles
+	// are resolved once — the per-shed cost is one atomic increment.
+	var gate *VantageGate
+	if m.cfg.Overload == OverloadDropNewest {
+		//tagbreathe:allow hotpath one gate per monitor lifetime, built before the loop
+		gate = NewVantageGate(m.cfg.demuxShedMark(), m.classify, m.metrics.VantageGates)
 	}
 	//tagbreathe:allow hotpath three class counter handles resolved once before the loop
 	shedBy := [...]*obs.Counter{
@@ -516,19 +501,6 @@ func (m *Monitor) demuxLoop(ticks chan<- *monitorTick) {
 		m.metrics.Dropped.Inc()
 		shedBy[cls].Inc()
 	}
-
-	// Redundant vantages are shed coherently, not report-by-report: the
-	// differencer's streams are per (vantage, channel), and a stream
-	// that keeps receiving occasional reads while its siblings starve
-	// pins the finality horizon (EarliestOpenStream) for MaxPhaseGap —
-	// stalling the user's primary chain too. So the first redundant
-	// report shed for a vantage closes a gate: that report travels to
-	// the worker as a tombstone (Engine.CloseVantage retires the phase
-	// streams), everything after it is shed at the door, and the gate
-	// reopens — streams re-prime naturally — once the queue drains to
-	// half the shed watermark or the vantage stops being redundant.
-	reopenMark := shedMark / 2
-	gated := make(map[gateKey]struct{}) //tagbreathe:allow hotpath gate set built once before the loop; entries churn only on shed transitions
 
 	broadcast := func(asOf time.Duration) {
 		// One descriptor per tick (1/UpdateEvery), not per report: the
@@ -570,45 +542,36 @@ func (m *Monitor) demuxLoop(ticks chan<- *monitorTick) {
 			m.metrics.ActiveUsers.Set(float64(len(assign)))
 		}
 		w := &workers[wi]
-		if m.cfg.Overload == OverloadDropNewest {
-			gk := gateKey{uid: uid, v: vantage{reader: r.ReaderID, port: r.AntennaPort}}
-			_, closed := gated[gk]
-			if closed && len(w.q) > reopenMark && m.VantageClass(uid, r.ReaderID, r.AntennaPort) == ShedRedundant {
-				// Gate held closed: the whole vantage stays silent until
-				// pressure clears (or selection moves onto it).
-				shed(r, ShedRedundant)
-			} else {
-				if closed {
-					delete(gated, gk)
-					m.metrics.VantageGates.Set(float64(len(gated)))
-				}
-				if len(w.q) >= shedMark && m.VantageClass(uid, r.ReaderID, r.AntennaPort) == ShedRedundant {
-					// Near-full: sacrifice redundant oversampling before
-					// the queue can reject primary data. The report is
-					// shed, but it travels as a tombstone so the worker
-					// retires the vantage's phase streams.
-					select {
-					case w.q <- shardInput{report: r, closeVantage: true}:
-						gated[gk] = struct{}{}
-						m.metrics.VantageGates.Set(float64(len(gated)))
-						m.metrics.VantageGateCloses.Inc()
-					default:
-						// No room for the tombstone; the gate stays open
-						// and the next redundant report retries.
-					}
-					shed(r, ShedRedundant)
-				} else {
-					select {
-					case w.q <- shardInput{report: r}:
-						m.tracer.Stamp(r.TraceID, obs.StageDemux)
-					default:
-						shed(r, m.VantageClass(uid, r.ReaderID, r.AntennaPort))
-					}
-				}
-			}
-		} else {
+		if gate == nil {
 			w.q <- shardInput{report: r}
 			m.tracer.Stamp(r.TraceID, obs.StageDemux)
+		} else {
+			switch gate.Admit(r, len(w.q)) {
+			case GateHold:
+				// The whole vantage stays silent until pressure clears
+				// (or selection moves onto it).
+				shed(r, ShedRedundant)
+			case GateClose:
+				// Near-full: sacrifice redundant oversampling before the
+				// queue can reject primary data. The report is shed, but
+				// it travels as a tombstone so the worker retires the
+				// vantage's phase streams; without room for it the gate
+				// stays open and the next redundant report retries.
+				select {
+				case w.q <- shardInput{report: r, closeVantage: true}:
+					gate.Close(r)
+					m.metrics.VantageGateCloses.Inc()
+				default:
+				}
+				shed(r, ShedRedundant)
+			default:
+				select {
+				case w.q <- shardInput{report: r}:
+					m.tracer.Stamp(r.TraceID, obs.StageDemux)
+				default:
+					shed(r, gate.Class(r))
+				}
+			}
 		}
 		w.hw.SetMax(float64(len(w.q)))
 

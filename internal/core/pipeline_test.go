@@ -483,30 +483,6 @@ func TestRankAndSelectAntennas(t *testing.T) {
 	}
 }
 
-func TestWindowReportsAndSplitByUser(t *testing.T) {
-	mk := func(uid uint64, ts time.Duration) reader.TagReport {
-		return reader.TagReport{EPC: epc.NewUserTagEPC(uid, 1), Timestamp: ts}
-	}
-	reports := []reader.TagReport{
-		mk(1, 0), mk(2, time.Second), mk(1, 2*time.Second), mk(2, 3*time.Second),
-	}
-	w := WindowReports(reports, time.Second, 3*time.Second)
-	if len(w) != 2 {
-		t.Fatalf("windowed = %d, want 2", len(w))
-	}
-	split := SplitByUser(reports)
-	if len(split) != 2 {
-		t.Fatalf("users = %d, want 2", len(split))
-	}
-	for uid, rs := range split {
-		for _, r := range rs {
-			if r.EPC.UserID() != uid {
-				t.Fatal("report grouped under wrong user")
-			}
-		}
-	}
-}
-
 func TestEstimateEmptyAndDegenerate(t *testing.T) {
 	ests, err := Estimate(nil, Config{})
 	if err != nil || len(ests) != 0 {

@@ -21,14 +21,16 @@
 // Shedding is quality-aware when Config.ShedClass is set: a pump under
 // pressure sacrifices reports from non-selected (reader, antenna)
 // vantages before primary data, and it does so coherently — once a
-// redundant vantage is shed, a per-pump gate silences the whole
-// vantage until pressure clears. Thinning a vantage report-by-report
-// would leave some of its per-channel phase streams half-alive, and a
-// stream that keeps receiving occasional reads pins the pipeline's
-// finality horizon for MaxPhaseGap, stalling the user's primary chain
-// too; full silence expires cleanly. Every shed is partitioned by
-// class in Metrics.ReaderShedByClass, session-level drop-oldest
-// evictions included (llrp.SessionConfig.OnShed).
+// redundant vantage is shed, a per-pump core.VantageGate (the same
+// gate the monitor demux sheds through) silences the whole vantage
+// until pressure clears. Thinning a vantage report-by-report would
+// leave some of its per-channel phase streams half-alive, and a stream
+// that keeps receiving occasional reads pins the pipeline's finality
+// horizon for MaxPhaseGap, stalling the user's primary chain too; full
+// silence expires cleanly. Every shed is partitioned by class in
+// Metrics.ReaderShedByClass. The merge and the monitor demux are the
+// only places load is shed: sessions never drop a report, they apply
+// backpressure.
 package fleet
 
 import (
@@ -67,10 +69,10 @@ type Config struct {
 	// Readers is the initial registry; more can be added at runtime.
 	Readers []ReaderConfig
 	// Session is the template for every entry's supervised session:
-	// ROSpec, timeouts, backoff, watchdog, overload policy, client
-	// metrics, tracer, and logger all apply per reader. Addr, ReaderID,
-	// and Metrics are per-entry and overwritten by the fleet (each
-	// entry gets private session instruments — see Metrics for why).
+	// ROSpec, timeouts, backoff, watchdog, client metrics, tracer, and
+	// logger all apply per reader. Addr, ReaderID, and Metrics are
+	// per-entry and overwritten by the fleet (each entry gets private
+	// session instruments — see Metrics for why).
 	Session llrp.SessionConfig
 	// ReportBuffer sizes the merged report channel; default 4096 (it
 	// absorbs N readers' bursts, so it defaults deeper than one
@@ -80,10 +82,9 @@ type Config struct {
 	// shedding — typically core.Monitor.VantageClass adapted by the
 	// caller. When set, pumps shed redundant-vantage reports first
 	// (coherently, per-vantage gates) as the merged channel nears
-	// capacity, and every shed — merge-level or session drop-oldest —
-	// is counted by class. It is called from pump and session
-	// goroutines concurrently and must be safe and cheap. Nil sheds
-	// classlessly (all sheds count as unknown).
+	// capacity, and every shed is counted by class. It is called from
+	// pump goroutines concurrently and must be safe and cheap. Nil
+	// sheds classlessly (all sheds count as unknown).
 	ShedClass func(r reader.TagReport) core.ShedClass
 	// Metrics receives the fleet's instrumentation (see NewMetrics).
 	// Nil builds private, unexposed instruments.
@@ -219,10 +220,6 @@ func (f *Fleet) Add(rc ReaderConfig) error {
 	for cls := core.ShedUnknown; cls <= core.ShedRedundant; cls++ {
 		e.shedBy[cls] = f.metrics.ReaderShedByClass.With(lbl, cls.String()) //tagbreathe:allow metrichygiene cls ranges over the three fixed ShedClass values
 	}
-	// Session-level drop-oldest evictions join the same per-class
-	// accounting as merge-level sheds; the hook runs on the session's
-	// forward pump, so it only classifies and counts.
-	scfg.OnShed = func(r reader.TagReport) { e.shedBy[f.class(r)].Inc() }
 	sess, err := llrp.StartSession(f.ctx, scfg)
 	if err != nil {
 		return fmt.Errorf("fleet: reader %q: %w", rc.Name, err)
@@ -268,63 +265,32 @@ func (f *Fleet) Reconfigure(rc ReaderConfig) error {
 	return f.Add(rc)
 }
 
-// class classifies a report for shed accounting: the configured
-// classifier, or unknown without one.
-func (f *Fleet) class(r reader.TagReport) core.ShedClass {
-	if f.classify == nil {
-		return core.ShedUnknown
-	}
-	return f.classify(r)
-}
-
 // pump forwards one reader's session stream onto the merged channel,
 // shedding (never blocking) when the channel is full, until the
 // session's Reports channel closes. With a classifier configured the
 // shedding is quality-aware: as the channel nears capacity the pump
-// sheds redundant-vantage reports first, and it silences a shed
-// vantage coherently (per-pump gate, reopened when pressure clears or
-// selection moves onto the vantage) — see the package comment for why
-// report-by-report thinning would stall the pipeline's finality
-// horizon. Gates are per pump: a vantage belongs to exactly one
-// reader, so no cross-pump state is needed.
+// sheds redundant-vantage reports first and silences a shed vantage
+// coherently through a core.VantageGate (see the package comment).
+// Gates are per pump: a vantage belongs to exactly one reader, so no
+// cross-pump state is needed.
 func (f *Fleet) pump(e *entry) {
 	defer f.pumps.Done()
 	defer close(e.done)
-	shedMark := cap(f.reports) - cap(f.reports)/8
-	if shedMark < 1 {
-		shedMark = 1
-	}
-	reopenMark := shedMark / 2
-	// gateKey omits the reader: every report in this pump shares one.
-	type gateKey struct {
-		uid  uint64
-		port int
-	}
-	var gated map[gateKey]struct{} // allocated on first gate close
+	gate := core.NewVantageGate(core.ShedMark(cap(f.reports)), f.classify, nil)
 	shed := func(r reader.TagReport, cls core.ShedClass) {
 		e.shed.Inc()
 		e.shedBy[cls].Inc()
 		f.tracer.Abort(r.TraceID)
 	}
 	for r := range e.sess.Reports() {
-		if f.classify != nil {
-			gk := gateKey{uid: r.EPC.UserID(), port: r.AntennaPort}
-			_, closed := gated[gk]
-			if closed {
-				if len(f.reports) > reopenMark && f.classify(r) == core.ShedRedundant {
-					shed(r, core.ShedRedundant)
-					continue
-				}
-				delete(gated, gk)
-			}
-			if len(f.reports) >= shedMark && f.classify(r) == core.ShedRedundant {
-				if gated == nil {
-					gated = make(map[gateKey]struct{})
-				}
-				gated[gk] = struct{}{}
-				shed(r, core.ShedRedundant)
-				continue
-			}
+		switch gate.Admit(r, len(f.reports)) {
+		case core.GateHold:
+			shed(r, core.ShedRedundant)
+			continue
+		case core.GateClose:
+			gate.Close(r)
+			shed(r, core.ShedRedundant)
+			continue
 		}
 		select {
 		case f.reports <- r:
@@ -336,7 +302,7 @@ func (f *Fleet) pump(e *entry) {
 			// Merged channel full: shed this report rather than let a
 			// stalled consumer backpressure the whole fleet through one
 			// pump. Counted per reader; the trace (if sampled) ends here.
-			shed(r, f.class(r))
+			shed(r, gate.Class(r))
 		}
 	}
 }
@@ -364,8 +330,8 @@ type ReaderStatus struct {
 	// reports dropped at the full merged channel.
 	Reports uint64 `json:"reports"`
 	Shed    uint64 `json:"shed"`
-	// ShedByClass splits Shed (plus session drop-oldest evictions) by
-	// vantage class; zero classes are omitted.
+	// ShedByClass splits Shed by vantage class; zero classes are
+	// omitted.
 	ShedByClass map[string]uint64 `json:"shed_by_class,omitempty"`
 }
 

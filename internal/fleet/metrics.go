@@ -28,12 +28,11 @@ type Metrics struct {
 	// it was full — the per-reader cost of the never-block merge
 	// discipline (see Fleet.Reports).
 	ReaderShed *obs.CounterVec
-	// ReaderShedByClass splits each reader's sheds by vantage class
-	// (primary / redundant / unknown). It covers both merge-level sheds
-	// (watermark gating and a full channel) and session drop-oldest
-	// evictions surfaced via the OnShed hook; with quality-aware
-	// shedding configured the primary series staying flat under
-	// pressure is the invariant dashboards should alert on.
+	// ReaderShedByClass splits each reader's merge-level sheds
+	// (watermark gating and a full channel) by vantage class (primary /
+	// redundant / unknown); with quality-aware shedding configured the
+	// primary series staying flat under pressure is the invariant
+	// dashboards should alert on.
 	ReaderShedByClass *obs.CounterVec
 	// Added and Removed count registry lifecycle operations
 	// (Reconfigure is one remove plus one add).
@@ -69,7 +68,7 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			"Reports dropped at the full merged channel, per originating reader.",
 			"reader"),
 		ReaderShedByClass: r.CounterVec("tagbreathe_fleet_reader_reports_shed_by_class_total",
-			"Reports shed before reaching the monitor (merge-level and session drop-oldest), per reader and vantage class.",
+			"Reports shed at the merged channel (watermark gating and a full channel), per reader and vantage class.",
 			"reader", "class"),
 		Added: r.Counter("tagbreathe_fleet_readers_added_total",
 			"Reader endpoints added to the registry over the fleet's life."),

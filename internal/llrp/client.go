@@ -52,32 +52,23 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 // NewClientMetrics). A nil metrics value builds private, unexposed
 // instruments.
 func DialWithMetrics(addr string, timeout time.Duration, m *ClientMetrics) (*Client, error) {
-	//tagbreathe:allow ctxflow timeout-only convenience constructor; context-threading callers use DialContext/DialContextTraced
+	//tagbreathe:allow ctxflow timeout-only convenience constructor; context-threading callers use DialContextTraced
 	ctx := context.Background()
 	if timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	return DialContextWithMetrics(ctx, addr, m)
-}
-
-// DialContext is Dial with cancelable connection setup: both the TCP
-// dial and the reader's greeting handshake abort when ctx ends. The
-// returned client's lifetime is independent of ctx — cancel after
-// setup does not tear the connection down; use Close for that.
-func DialContext(ctx context.Context, addr string) (*Client, error) {
-	return DialContextWithMetrics(ctx, addr, nil)
-}
-
-// DialContextWithMetrics is DialContext with protocol instrumentation.
-func DialContextWithMetrics(ctx context.Context, addr string, m *ClientMetrics) (*Client, error) {
 	return DialContextTraced(ctx, addr, m, nil)
 }
 
-// DialContextTraced is DialContextWithMetrics with pipeline tracing:
-// the client stamps obs.StageRead on sampled reports as they are
-// decoded. A nil tracer traces nothing.
+// DialContextTraced is DialWithMetrics with cancelable connection
+// setup and pipeline tracing: both the TCP dial and the reader's
+// greeting handshake abort when ctx ends, and the client stamps
+// obs.StageRead on sampled reports as they are decoded. The returned
+// client's lifetime is independent of ctx — cancel after setup does
+// not tear the connection down; use Close for that. A nil tracer
+// traces nothing.
 func DialContextTraced(ctx context.Context, addr string, m *ClientMetrics, tr *obs.Tracer) (*Client, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -96,18 +87,10 @@ func DialContextTraced(ctx context.Context, addr string, m *ClientMetrics, tr *o
 	return c, err
 }
 
-// NewClient wraps an established connection (useful for tests with
-// net.Pipe) and performs the connection handshake.
-func NewClient(conn net.Conn) (*Client, error) {
-	return NewClientWithMetrics(conn, nil)
-}
-
-// NewClientWithMetrics is NewClient with protocol instrumentation.
-func NewClientWithMetrics(conn net.Conn, m *ClientMetrics) (*Client, error) {
-	return NewClientTraced(conn, m, nil)
-}
-
-// NewClientTraced is NewClientWithMetrics with pipeline tracing.
+// NewClientTraced wraps an established connection and performs the
+// connection handshake, with protocol instrumentation (nil m builds
+// private, unexposed instruments) and pipeline tracing (nil tr traces
+// nothing).
 func NewClientTraced(conn net.Conn, m *ClientMetrics, tr *obs.Tracer) (*Client, error) {
 	if m == nil {
 		m = NewClientMetrics(nil)

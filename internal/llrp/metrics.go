@@ -77,10 +77,6 @@ type SessionMetrics struct {
 	// ReportsBufferHighWater is the deepest the stable report channel
 	// has been over the session's life.
 	ReportsBufferHighWater *obs.Gauge
-	// ReportsShed counts reports evicted from the stable channel under
-	// the ReportsDropOldest overload policy. Always zero under
-	// ReportsBlock.
-	ReportsShed *obs.Counter
 }
 
 // NewSessionMetrics wires session instruments into r (nil r: live,
@@ -102,13 +98,11 @@ func NewSessionMetrics(r *obs.Registry) *SessionMetrics {
 			"Reports currently buffered on the session's stable channel."),
 		ReportsBufferHighWater: r.Gauge("tagbreathe_llrp_session_reports_buffer_high_water",
 			"Deepest observed occupancy of the session's stable report channel."),
-		ReportsShed: r.Counter("tagbreathe_llrp_session_reports_shed_total",
-			"Reports evicted from the stable channel by the drop-oldest overload policy."),
 	}
 }
 
 // ClientMetrics are the host-side protocol instruments; pass to
-// NewClientWithMetrics or DialWithMetrics.
+// NewClientTraced or DialWithMetrics.
 type ClientMetrics struct {
 	// Reports counts decoded tag reports surfaced on Reports().
 	Reports *obs.Counter

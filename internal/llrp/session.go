@@ -49,27 +49,6 @@ func (s SessionState) String() string {
 	}
 }
 
-// ReportsOverload selects what the session's forward pump does when
-// the stable Reports channel is full — the session-edge mirror of the
-// monitor's shard-queue OverloadPolicy.
-type ReportsOverload int
-
-const (
-	// ReportsBlock (the default) applies backpressure: the forward pump
-	// waits for the consumer, so no report is ever lost and the TCP
-	// window eventually throttles the reader. One stalled consumer
-	// stalls this session's stream (and only this session's).
-	ReportsBlock ReportsOverload = iota
-	// ReportsDropOldest sheds load by age: when the channel is full the
-	// pump evicts the oldest buffered report (counting it in
-	// SessionMetrics.ReportsShed) to make room for the newest. Breathing
-	// is heavily oversampled relative to the 0.67 Hz band, so shedding
-	// the stalest samples degrades SNR, not correctness — and keeps the
-	// freshest phase readings flowing, which is what a recovering
-	// consumer wants.
-	ReportsDropOldest
-)
-
 // SessionConfig assembles a managed reader session.
 type SessionConfig struct {
 	// Addr is the LLRP endpoint (required).
@@ -79,10 +58,6 @@ type SessionConfig struct {
 	// stages can tell overlapping readers apart. Empty leaves reports
 	// unnamed — the single-reader legacy path.
 	ReaderID string
-	// Overload selects the forward pump's policy when the Reports
-	// channel is full: ReportsBlock (default, lossless backpressure) or
-	// ReportsDropOldest (evict the stalest buffered report, count it).
-	Overload ReportsOverload
 	// ROSpec is provisioned (add → enable → start) after every
 	// connect, so the report stream resumes without operator action.
 	// ROSpecID 0 is replaced with 1.
@@ -116,13 +91,6 @@ type SessionConfig struct {
 	// Metrics receives the session's instrumentation (see
 	// NewSessionMetrics). Nil builds private, unexposed instruments.
 	Metrics *SessionMetrics
-	// OnShed, when set, observes every report the ReportsDropOldest
-	// policy evicts (the evicted report, not the incoming one) — the
-	// session-level overload hook quality-aware shedding hangs off.
-	// It runs on the session's forward pump goroutine: keep it cheap
-	// and non-blocking (classify and count, nothing more). Nil
-	// observes nothing.
-	OnShed func(r reader.TagReport)
 	// Tracer samples end-to-end pipeline traces across reconnects: each
 	// client stamps obs.StageRead at frame decode and the forward pump
 	// stamps obs.StageForward, so reader-side queue wait is visible.
@@ -488,46 +456,21 @@ func (s *Session) forward(ctx context.Context, client *Client) {
 	}
 }
 
-// send places one report on the stable channel under the configured
-// overload policy; false means ctx ended first.
+// send places one report on the stable channel, waiting for the
+// consumer when the channel is full: backpressure is lossless, and a
+// full channel eventually throttles the reader through the TCP window.
+// One stalled consumer stalls this session's stream (and only this
+// session's). False means ctx ended first.
 func (s *Session) send(ctx context.Context, r reader.TagReport) bool {
-	for {
-		select {
-		case s.reports <- r:
-			s.cfg.Tracer.Stamp(r.TraceID, obs.StageForward)
-			depth := float64(len(s.reports))
-			s.cfg.Metrics.ReportsBuffer.Set(depth)
-			s.cfg.Metrics.ReportsBufferHighWater.SetMax(depth)
-			return true
-		case <-ctx.Done():
-			return false
-		default:
-		}
-		if s.cfg.Overload == ReportsBlock {
-			// Lossless: wait for the consumer (or the end of the session).
-			select {
-			case s.reports <- r:
-				s.cfg.Tracer.Stamp(r.TraceID, obs.StageForward)
-				depth := float64(len(s.reports))
-				s.cfg.Metrics.ReportsBuffer.Set(depth)
-				s.cfg.Metrics.ReportsBufferHighWater.SetMax(depth)
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		}
-		// Drop-oldest: evict one buffered report to make room, then
-		// retry the send. Each iteration either sends or evicts, so
-		// progress is bounded even against a racing consumer.
-		select {
-		case old := <-s.reports:
-			s.cfg.Tracer.Abort(old.TraceID)
-			s.cfg.Metrics.ReportsShed.Inc()
-			if s.cfg.OnShed != nil {
-				s.cfg.OnShed(old)
-			}
-		default:
-		}
+	select {
+	case s.reports <- r:
+		s.cfg.Tracer.Stamp(r.TraceID, obs.StageForward)
+		depth := float64(len(s.reports))
+		s.cfg.Metrics.ReportsBuffer.Set(depth)
+		s.cfg.Metrics.ReportsBufferHighWater.SetMax(depth)
+		return true
+	case <-ctx.Done():
+		return false
 	}
 }
 

@@ -326,53 +326,12 @@ func TestSessionReaderIDStampsReports(t *testing.T) {
 	}
 }
 
-// TestSessionDropOldestOverload pins the ReportsDropOldest policy: with
-// a tiny buffer and a stalled consumer the forward pump sheds the
-// stalest buffered reports (counting them) instead of blocking, and the
-// stream it delivers once the consumer resumes is still in timestamp
-// order with the newest reports present.
-func TestSessionDropOldestOverload(t *testing.T) {
-	addr := startServer(t, ServerConfig{NewSource: func() ReportSource { return testSource(1 << 20) }})
-	cfg := fastSessionConfig(addr)
-	cfg.Overload = ReportsDropOldest
-	cfg.ReportBuffer = 8
-	m := NewSessionMetrics(nil)
-	cfg.Metrics = m
-	s := startSessionTest(t, cfg)
-	if err := s.WaitUp(context.Background()); err != nil {
-		t.Fatalf("WaitUp: %v", err)
-	}
-
-	// Stall the consumer: the 8-slot buffer must overflow and shed.
-	deadline := time.Now().Add(5 * time.Second)
-	for m.ReportsShed.Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("no reports shed with a stalled consumer (buffer 8, shed %d)", m.ReportsShed.Value())
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// Resume consuming: order is preserved and the stream has advanced
-	// past the shed prefix.
-	rs := recvReports(t, s, 16)
-	for i := 1; i < len(rs); i++ {
-		if rs[i].Timestamp < rs[i-1].Timestamp {
-			t.Fatalf("timestamps regressed after shedding: %v then %v", rs[i-1].Timestamp, rs[i].Timestamp)
-		}
-	}
-	if rs[0].Timestamp == 0 {
-		t.Fatal("first consumed report is the stream head; drop-oldest should have evicted it")
-	}
-}
-
-// TestSessionBlockPolicyShedsNothing pins the default: a slow consumer
-// under ReportsBlock backpressures the pump and never loses a report.
+// TestSessionBlockPolicyShedsNothing pins session backpressure: a slow
+// consumer blocks the forward pump, and no report is ever lost.
 func TestSessionBlockPolicyShedsNothing(t *testing.T) {
 	addr := startServer(t, ServerConfig{NewSource: func() ReportSource { return testSource(1 << 20) }})
 	cfg := fastSessionConfig(addr)
 	cfg.ReportBuffer = 8
-	m := NewSessionMetrics(nil)
-	cfg.Metrics = m
 	s := startSessionTest(t, cfg)
 	if err := s.WaitUp(context.Background()); err != nil {
 		t.Fatalf("WaitUp: %v", err)
@@ -383,8 +342,5 @@ func TestSessionBlockPolicyShedsNothing(t *testing.T) {
 		if want := time.Duration(i) * 10 * time.Millisecond; r.Timestamp != want {
 			t.Fatalf("report %d timestamp = %v, want %v (lossless order)", i, r.Timestamp, want)
 		}
-	}
-	if n := m.ReportsShed.Value(); n != 0 {
-		t.Fatalf("ReportsShed = %d under ReportsBlock, want 0", n)
 	}
 }

@@ -419,22 +419,6 @@ func ServeDebug(addr string, r *MetricsRegistry) (*DebugServer, error) {
 	return obs.ServeDebug(addr, r)
 }
 
-// DialLLRPWithMetrics is DialLLRP with protocol instrumentation.
-func DialLLRPWithMetrics(addr string, m *LLRPClientMetrics) (*LLRPClient, error) {
-	return llrp.DialWithMetrics(addr, 10*time.Second, m)
-}
-
-// DialLLRPTraced is DialLLRPWithMetrics with pipeline tracing: the
-// client stamps StageRead on sampled reports as frames decode, so
-// end-to-end traces price the read→ingest hop too. A nil tracer
-// traces nothing.
-func DialLLRPTraced(addr string, m *LLRPClientMetrics, tr *Tracer) (*LLRPClient, error) {
-	//tagbreathe:allow ctxflow facade convenience dial with a fixed timeout; context callers use llrp.DialContextTraced
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	return llrp.DialContextTraced(ctx, addr, m, tr)
-}
-
 // Baseline estimators for comparison studies.
 type (
 	// BaselineEstimator is the common interface of the comparators.
