@@ -34,6 +34,7 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkEstimateUsers|BenchmarkMonitorUsers' -benchtime=1x .
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./internal/sigproc
+	scripts/bandpass_bench_smoke.sh
 
 # soak-smoke is the compressed graceful-degradation soak (~2 min wall):
 # 25 minutes of multi-user, multi-reader stream time at 30x through

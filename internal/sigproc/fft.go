@@ -12,14 +12,16 @@
 //
 // The only package state is a transform plan cache, in the style of
 // FFTW plans: one forward twiddle table sized for the longest
-// power-of-two transform seen so far, and per-length Bluestein plans
-// (the chirp and its padded transforms). Plans are built on first use
-// and then only read, so shard workers share them and a lookup takes
-// no lock: the twiddle table is swapped in by compare-and-swap and
-// plans are published through a sync.Map. The table keeps m/2 entries
-// for the largest m; at most maxBluesteinPlans lengths keep a plan, and
-// the oldest is evicted and rebuilt if used again. A planned transform
-// is bit-identical to one that computes every factor directly.
+// power-of-two transform seen so far, and per-length plans of two
+// kinds: Bluestein plans (the chirp and its padded transforms) and the
+// sin/cos tables of BandPassFFT's in-band DFT. Plans are built on first
+// use and then only read, so shard workers share them and a lookup
+// takes no lock: the twiddle table is swapped in by compare-and-swap
+// and per-length plans are published through a sync.Map. The table
+// keeps m/2 entries for the largest m; at most maxPlans per-length
+// plans are kept over both kinds, and the oldest is evicted and rebuilt
+// if used again. A planned transform is bit-identical to one that
+// computes every factor directly.
 package sigproc
 
 import (
@@ -159,11 +161,56 @@ func radix2(x []complex128, inverse bool) {
 	}
 }
 
-// maxBluesteinPlans bounds how many lengths keep a Bluestein plan.
-// Steady-state callers cycle through a few window lengths; a caller
-// sweeping arbitrary lengths evicts the oldest plans, which rebuild on
-// their next use.
-const maxBluesteinPlans = 64
+// maxPlans bounds how many per-length plans the cache keeps, over
+// every kind. Steady-state callers cycle through a few window lengths;
+// a caller sweeping arbitrary lengths evicts the oldest plans, which
+// rebuild on their next use.
+const maxPlans = 64
+
+// planKind says which computation a cached plan serves.
+type planKind uint8
+
+const (
+	bluesteinKind planKind = iota // *bluesteinPlan, for FFT and IFFT
+	bandDFTKind                   // *bandDFTPlan, for BandPassFFT's direct route
+)
+
+// planKey names one cached plan.
+type planKey struct {
+	kind planKind
+	n    int
+}
+
+var (
+	plans     sync.Map // planKey -> *bluesteinPlan or *bandDFTPlan
+	planOrder struct {
+		sync.Mutex
+		keys []planKey // cached keys, oldest first
+	}
+)
+
+// cachedPlan returns the plan of the given kind for length n, building
+// it with build and caching it on first use. Concurrent first uses may
+// each build one; the first stored wins and the rest are dropped. A
+// stored plan is never written again.
+func cachedPlan[P any](kind planKind, n int, build func(n int) *P) *P {
+	key := planKey{kind, n}
+	if p, ok := plans.Load(key); ok {
+		return p.(*P)
+	}
+	p, loaded := plans.LoadOrStore(key, build(n))
+	if !loaded {
+		o := &planOrder
+		o.Lock()
+		o.keys = append(o.keys, key)
+		if len(o.keys) > maxPlans {
+			plans.Delete(o.keys[0])
+			o.keys = append(o.keys[:0], o.keys[1:]...)
+		}
+		o.Unlock()
+	}
+	return p.(*P)
+}
 
 // bluesteinPlan is the per-length state of the chirp z-transform.
 type bluesteinPlan struct {
@@ -173,35 +220,6 @@ type bluesteinPlan struct {
 	// chirpSpec[d] is the radix-2 transform of the zero-padded
 	// conjugate chirp of direction d (0 forward, 1 inverse), length m.
 	chirpSpec [2][]complex128
-}
-
-var (
-	bluesteinPlans sync.Map // int length -> *bluesteinPlan
-	bluesteinOrder struct {
-		sync.Mutex
-		lengths []int // cached lengths, oldest first
-	}
-)
-
-// bluesteinPlanFor returns the plan for length n, building and caching
-// it on first use. Concurrent first uses may each build one; the first
-// stored wins and the rest are dropped.
-func bluesteinPlanFor(n int) *bluesteinPlan {
-	if p, ok := bluesteinPlans.Load(n); ok {
-		return p.(*bluesteinPlan)
-	}
-	p, loaded := bluesteinPlans.LoadOrStore(n, newBluesteinPlan(n))
-	if !loaded {
-		o := &bluesteinOrder
-		o.Lock()
-		o.lengths = append(o.lengths, n)
-		if len(o.lengths) > maxBluesteinPlans {
-			bluesteinPlans.Delete(o.lengths[0])
-			o.lengths = append(o.lengths[:0], o.lengths[1:]...)
-		}
-		o.Unlock()
-	}
-	return p.(*bluesteinPlan)
 }
 
 func newBluesteinPlan(n int) *bluesteinPlan {
@@ -241,7 +259,7 @@ func newBluesteinPlan(n int) *bluesteinPlan {
 // The chirp and its transform come from the length's cached plan, so a
 // call costs two radix-2 transforms and no trigonometry.
 func bluestein(x []complex128, inverse bool) {
-	p := bluesteinPlanFor(len(x))
+	p := cachedPlan(bluesteinKind, len(x), newBluesteinPlan)
 	d := 0
 	if inverse {
 		d = 1
